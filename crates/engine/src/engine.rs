@@ -861,7 +861,7 @@ impl Engine {
     ) -> Result<impl_detail::AdmittedAlias> {
         let entry = self
             .datasets
-            .get(&req.dataset)
+            .get_mut(&req.dataset)
             .ok_or_else(|| EngineError::UnknownDataset(req.dataset.clone()))?;
         let mech = self.registry.resolve(&req.kind)?;
         let cost = mech.admit(&req.kind, &entry.dataset)?;
@@ -870,7 +870,7 @@ impl Engine {
         // Durable intent BEFORE the charge lands (and long before the
         // mechanism executes): if the intent cannot be made durable the
         // request is rejected with provably zero spend.
-        let recorder = Arc::clone(&self.recorder);
+        let recorder = self.recorder.as_ref();
         let intent_seq = match &mut self.wal {
             Some(log) => {
                 let seq = log.next_intent_seq();
@@ -880,7 +880,7 @@ impl Engine {
                         dataset: req.dataset.clone(),
                         cost,
                     },
-                    recorder.as_ref(),
+                    recorder,
                 )
                 .map_err(EngineError::Durability)?;
                 Some(seq)
@@ -888,18 +888,11 @@ impl Engine {
             None => None,
         };
         // Admission passed on every axis: the charge cannot fail now.
-        let entry = self
-            .datasets
-            .get_mut(&req.dataset)
-            .ok_or_else(|| EngineError::UnknownDataset(req.dataset.clone()))?;
         if let Err(error) = entry.ledger.charge(&req.dataset, cost) {
             // Unreachable after a successful admit, but if it ever fires
             // the durable intent must be resolved as never-charged.
             if let (Some(log), Some(seq)) = (&mut self.wal, intent_seq) {
-                if log
-                    .append(&WalRecord::Abort { seq }, recorder.as_ref())
-                    .is_err()
-                {
+                if log.append(&WalRecord::Abort { seq }, recorder).is_err() {
                     recorder.counter_add("wal.append_errors", "", 1);
                 }
             }
@@ -1462,10 +1455,7 @@ fn run_with_retries(
     base_rng: &Xoshiro256,
     max_attempts: usize,
 ) -> std::result::Result<(QueryValue, usize), (EngineError, usize)> {
-    let mut last_err = EngineError::InvalidParameter {
-        name: "max_attempts",
-        reason: "no attempt ran".to_string(),
-    };
+    let mut last_err = None;
     // `stream` tracks the base stream advanced by `attempt` long-jumps,
     // maintained incrementally (one jump per retry rather than re-deriving
     // `attempt` jumps from the base — same bits, O(attempts) total work).
@@ -1485,13 +1475,17 @@ fn run_with_retries(
                     .find_map(|&v| classify_release(v));
                 match fault {
                     None => return Ok((value, attempt + 1)),
-                    Some(class) => last_err = EngineError::NonFiniteRelease(class),
+                    Some(class) => last_err = Some(EngineError::NonFiniteRelease(class)),
                 }
             }
-            Err(e) => last_err = e,
+            Err(e) => last_err = Some(e),
         }
     }
-    Err((last_err, max_attempts))
+    let error = last_err.unwrap_or_else(|| EngineError::InvalidParameter {
+        name: "max_attempts",
+        reason: "no attempt ran".to_string(),
+    });
+    Err((error, max_attempts))
 }
 
 mod impl_detail {

@@ -168,11 +168,11 @@ pub enum QueryValue {
 impl QueryValue {
     /// Every scalar the value releases — the engine scans these for
     /// non-finite leaks before handing the value to the caller.
-    pub(crate) fn released_scalars(&self) -> Vec<f64> {
+    pub(crate) fn released_scalars(&self) -> &[f64] {
         match self {
-            QueryValue::Scalar(v) => vec![*v],
-            QueryValue::Index(_) | QueryValue::SvtTranscript(_) => Vec::new(),
-            QueryValue::Draws(vs) => vs.clone(),
+            QueryValue::Scalar(v) => std::slice::from_ref(v),
+            QueryValue::Index(_) | QueryValue::SvtTranscript(_) => &[],
+            QueryValue::Draws(vs) => vs,
         }
     }
 }

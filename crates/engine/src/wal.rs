@@ -157,11 +157,14 @@ pub type WalResult<T> = std::result::Result<T, DurabilityError>;
 // CRC32 (IEEE, reflected) — dependency-free, table-driven.
 // ---------------------------------------------------------------------
 
-// The `while i < 256` bound proves the index; `.get_mut` is not usable
-// in a const fn on this toolchain.
+// Slicing-by-8 tables: `[0]` is the classic byte-at-a-time table, and
+// `[k][b]` is byte `b`'s contribution pushed through `k` further zero
+// bytes, so one step folds in 8 bytes with independent lookups. The
+// loop bounds prove every index; `.get_mut` is not usable in a const fn
+// on this toolchain.
 #[allow(clippy::indexing_slicing)]
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -174,26 +177,57 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// IEEE CRC32 over `bytes` (the checksum `cksum`-style tools and zip use).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        let idx = ((crc ^ b as u32) & 0xFF) as usize;
-        // Indexing a 256-entry table with a masked byte is bounds-proven.
-        #[allow(clippy::indexing_slicing)]
-        {
-            crc = (crc >> 8) ^ CRC_TABLE[idx];
-        }
+    !crc32_update(!0, bytes)
+}
+
+/// Feed `bytes` into a running (pre-inversion) CRC32 register, so a
+/// checksum over several slices needs no concatenated copy.
+// Every index is a byte masked to 0..=255 into a 256-entry table.
+#[allow(clippy::indexing_slicing)]
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let word = u64::from_le_bytes(chunk.try_into().unwrap_or([0; 8])) ^ u64::from(crc);
+        let byte = |i: u32| ((word >> (8 * i)) & 0xFF) as usize;
+        crc = t7[byte(0)]
+            ^ t6[byte(1)]
+            ^ t5[byte(2)]
+            ^ t4[byte(3)]
+            ^ t3[byte(4)]
+            ^ t2[byte(5)]
+            ^ t1[byte(6)]
+            ^ t0[byte(7)];
     }
-    !crc
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t0[((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// A frame's checksum, `crc32(len ‖ payload)`.
+fn frame_crc(len: [u8; 4], payload: &[u8]) -> u32 {
+    !crc32_update(crc32_update(!0, &len), payload)
 }
 
 // ---------------------------------------------------------------------
@@ -438,6 +472,12 @@ impl<'a> Cursor<'a> {
 impl WalRecord {
     /// Encode this record's payload (type tag + fields, no framing).
     pub fn encode_payload(&self) -> WalResult<Vec<u8>> {
+        let mut out = Vec::new();
+        self.write_payload(&mut out).map(|()| out)
+    }
+
+    /// Append this record's payload to `out`.
+    fn write_payload(&self, out: &mut Vec<u8>) -> WalResult<()> {
         fn push_name(out: &mut Vec<u8>, name: &str) -> WalResult<()> {
             let len = u16::try_from(name.len()).map_err(|_| {
                 DurabilityError::Unencodable(format!(
@@ -449,18 +489,17 @@ impl WalRecord {
             out.extend_from_slice(name.as_bytes());
             Ok(())
         }
-        let mut out = Vec::new();
         match self {
             WalRecord::DatasetRegistered { dataset, cap } => {
                 out.push(TAG_DATASET);
-                push_name(&mut out, dataset)?;
+                push_name(out, dataset)?;
                 out.extend_from_slice(&cap.epsilon.to_le_bytes());
                 out.extend_from_slice(&cap.delta.to_le_bytes());
             }
             WalRecord::Intent { seq, dataset, cost } => {
                 out.push(TAG_INTENT);
                 out.extend_from_slice(&seq.to_le_bytes());
-                push_name(&mut out, dataset)?;
+                push_name(out, dataset)?;
                 out.extend_from_slice(&cost.epsilon.to_le_bytes());
                 out.extend_from_slice(&cost.delta.to_le_bytes());
             }
@@ -474,8 +513,8 @@ impl WalRecord {
             }
             WalRecord::Poison { dataset, reason } => {
                 out.push(TAG_POISON);
-                push_name(&mut out, dataset)?;
-                encode_reason(*reason, &mut out);
+                push_name(out, dataset)?;
+                encode_reason(*reason, out);
             }
             WalRecord::SvtSuspended {
                 session,
@@ -484,7 +523,7 @@ impl WalRecord {
             } => {
                 out.push(TAG_SVT_SUSPENDED);
                 out.extend_from_slice(&session.to_le_bytes());
-                push_name(&mut out, dataset)?;
+                push_name(out, dataset)?;
                 out.extend_from_slice(&state.to_bytes());
             }
             WalRecord::SvtResumed { session } => {
@@ -497,7 +536,7 @@ impl WalRecord {
                 values,
             } => {
                 out.push(TAG_DATASET_APPENDED);
-                push_name(&mut out, dataset)?;
+                push_name(out, dataset)?;
                 out.extend_from_slice(&epoch.to_le_bytes());
                 let n = u32::try_from(values.len()).map_err(|_| {
                     DurabilityError::Unencodable(format!(
@@ -518,12 +557,12 @@ impl WalRecord {
             } => {
                 out.push(TAG_CONTINUAL_OPENED);
                 out.extend_from_slice(&session.to_le_bytes());
-                push_name(&mut out, dataset)?;
+                push_name(out, dataset)?;
                 out.extend_from_slice(&epsilon.to_le_bytes());
                 out.extend_from_slice(&horizon.to_le_bytes());
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Decode one payload (exactly; trailing bytes are corruption).
@@ -637,18 +676,27 @@ impl WalRecord {
     /// Encode this record as one framed log entry:
     /// `len:u32le ‖ crc32(len‖payload):u32le ‖ payload`.
     pub fn encode_frame(&self) -> WalResult<Vec<u8>> {
-        let payload = self.encode_payload()?;
+        let mut frame = Vec::new();
+        self.write_frame(&mut frame).map(|()| frame)
+    }
+
+    /// Encode this record's frame into `buf`, replacing its contents:
+    /// reserve the header, encode the payload in place, then fill in
+    /// `len` and the CRC. The writer reuses one `buf` for every append.
+    fn write_frame(&self, buf: &mut Vec<u8>) -> WalResult<()> {
+        buf.clear();
+        buf.extend_from_slice(&[0; 8]);
+        self.write_payload(buf)?;
+        let payload = buf.get(8..).unwrap_or(&[]);
         let len = u32::try_from(payload.len())
-            .map_err(|_| DurabilityError::Unencodable("record exceeds 4 GiB".to_string()))?;
-        let mut checked = Vec::with_capacity(4 + payload.len());
-        checked.extend_from_slice(&len.to_le_bytes());
-        checked.extend_from_slice(&payload);
-        let crc = crc32(&checked);
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&crc.to_le_bytes());
-        frame.extend_from_slice(&payload);
-        Ok(frame)
+            .map_err(|_| DurabilityError::Unencodable("record exceeds 4 GiB".to_string()))?
+            .to_le_bytes();
+        let crc = frame_crc(len, payload).to_le_bytes();
+        // Fill in the reserved header: `len ‖ crc`.
+        for (slot, byte) in buf.iter_mut().zip(len.into_iter().chain(crc)) {
+            *slot = byte;
+        }
+        Ok(())
     }
 }
 
@@ -706,12 +754,9 @@ pub fn scan_frames(bytes: &[u8]) -> WalResult<FrameScan> {
             });
         }
         let payload = bytes.get(offset + 8..offset + 8 + len).unwrap_or(&[]);
-        let mut checked = Vec::with_capacity(4 + len);
-        checked.extend_from_slice(&len_bytes);
-        checked.extend_from_slice(payload);
         let frame_end = offset + 8 + len;
         let is_tail = frame_end == bytes.len();
-        if crc32(&checked) != stored_crc {
+        if frame_crc(len_bytes, payload) != stored_crc {
             if is_tail {
                 return Ok(FrameScan {
                     records,
@@ -1000,11 +1045,18 @@ pub enum FsyncPolicy {
     Manual,
 }
 
+/// Capacity above which [`WriteAheadLog`] frees its reused frame buffer
+/// after an append, so one large `DatasetAppended` batch does not pin
+/// its frame's memory for the life of the log.
+const FRAME_BUFFER_BOUND: usize = 64 * 1024;
+
 /// The engine's append-side handle on a write-ahead log.
 pub struct WriteAheadLog {
     storage: Box<dyn WalStorage>,
     policy: FsyncPolicy,
     next_intent: u64,
+    /// Frame encoding buffer, reused across appends.
+    frame: Vec<u8>,
 }
 
 impl std::fmt::Debug for WriteAheadLog {
@@ -1023,6 +1075,7 @@ impl WriteAheadLog {
             storage: Box::new(storage),
             policy,
             next_intent: 0,
+            frame: Vec::new(),
         }
     }
 
@@ -1050,10 +1103,13 @@ impl WriteAheadLog {
     /// from the (sequential) calling path, so counters stay
     /// thread-count invariant.
     pub(crate) fn append(&mut self, record: &WalRecord, recorder: &dyn Recorder) -> WalResult<()> {
-        let frame = record.encode_frame()?;
-        self.storage.append(&frame)?;
+        record.write_frame(&mut self.frame)?;
+        self.storage.append(&self.frame)?;
         recorder.counter_add("wal.appends", record_label(record), 1);
-        recorder.counter_add("wal.bytes", "", frame.len() as u64);
+        recorder.counter_add("wal.bytes", "", self.frame.len() as u64);
+        if self.frame.capacity() > FRAME_BUFFER_BOUND {
+            self.frame = Vec::new();
+        }
         let flush_now = match self.policy {
             FsyncPolicy::EveryAppend => true,
             FsyncPolicy::OnCommit => !matches!(record, WalRecord::Intent { .. }),
@@ -1391,8 +1447,34 @@ mod tests {
     }
 
     #[test]
-    fn records_roundtrip_through_frames() {
-        let records = vec![
+    fn sliced_crc32_matches_the_bitwise_definition() {
+        fn bitwise(bytes: &[u8]) -> u32 {
+            let mut crc = !0u32;
+            for &b in bytes {
+                crc ^= u32::from(b);
+                for _ in 0..8 {
+                    crc = if crc & 1 != 0 {
+                        (crc >> 1) ^ 0xEDB8_8320
+                    } else {
+                        crc >> 1
+                    };
+                }
+            }
+            !crc
+        }
+        let bytes: Vec<u8> = (0..70u32).map(|i| (i * 37 + 11) as u8).collect();
+        for n in 0..bytes.len() {
+            assert_eq!(crc32(&bytes[..n]), bitwise(&bytes[..n]), "length {n}");
+            if n >= 4 {
+                let len: [u8; 4] = bytes[..4].try_into().unwrap();
+                assert_eq!(frame_crc(len, &bytes[4..n]), bitwise(&bytes[..n]));
+            }
+        }
+    }
+
+    /// One record of every variant (two poison reason encodings).
+    fn sample_records() -> Vec<WalRecord> {
+        vec![
             WalRecord::DatasetRegistered {
                 dataset: "ages".to_string(),
                 cap: b(1.5, 1e-6),
@@ -1407,6 +1489,10 @@ mod tests {
             WalRecord::Poison {
                 dataset: "ages".to_string(),
                 reason: PoisonReason::NumericFault("nan"),
+            },
+            WalRecord::Poison {
+                dataset: "ages".to_string(),
+                reason: PoisonReason::ChargedOperationFailed,
             },
             WalRecord::SvtSuspended {
                 session: 7,
@@ -1429,7 +1515,71 @@ mod tests {
                 epsilon: 0.5,
                 horizon: 1024,
             },
-        ];
+        ]
+    }
+
+    /// The frames of [`sample_records`], byte for byte, as the log format
+    /// defines them. Any change here is a format change that existing
+    /// logs would not survive.
+    const GOLDEN_FRAMES: [&str; 10] = [
+        "17000000c5de8ac701040061676573000000000000f83f8dedb5a0f7c6b03e",
+        "1f00000046fb373f020000000000000000040061676573000000000000d03f0000000000000000",
+        "09000000af706cb1030000000000000000",
+        "09000000f81da719040100000000000000",
+        "09000000c7c3ffc6050400616765730200",
+        "08000000c918dcfe0504006167657301",
+        "20000000c1d2e65b0607000000000000000400616765730000000000802340000000000000104000",
+        "09000000ba2845e6070700000000000000",
+        "2b000000c9c5592308040061676573010000000000000003000000000000000000d03f000000000000e83f000000000000e03f",
+        "1f000000973ceaff090800000000000000040061676573000000000000e03f0004000000000000",
+    ];
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|x| format!("{x:02x}")).collect()
+    }
+
+    #[test]
+    fn frames_match_the_golden_bytes() {
+        let records = sample_records();
+        for (r, golden) in records.iter().zip(GOLDEN_FRAMES) {
+            assert_eq!(hex(&r.encode_frame().unwrap()), golden, "{r:?}");
+        }
+        // The writer's reused buffer must produce the same bytes,
+        // including a short commit right after the longest frame.
+        let storage = MemoryWal::new();
+        let mut log = WriteAheadLog::new(storage.handle(), FsyncPolicy::EveryAppend);
+        let noop = dplearn_telemetry::NoopRecorder;
+        for r in &records {
+            log.append(r, &noop).unwrap();
+        }
+        log.append(&records[8], &noop).unwrap();
+        log.append(&records[2], &noop).unwrap();
+        let expected: String = GOLDEN_FRAMES
+            .iter()
+            .chain([&GOLDEN_FRAMES[8], &GOLDEN_FRAMES[2]])
+            .copied()
+            .collect();
+        assert_eq!(hex(&storage.bytes()), expected);
+    }
+
+    #[test]
+    fn large_frames_do_not_pin_the_reused_buffer() {
+        let mut log = WriteAheadLog::new(MemoryWal::new(), FsyncPolicy::EveryAppend);
+        let noop = dplearn_telemetry::NoopRecorder;
+        log.append(&WalRecord::Commit { seq: 0 }, &noop).unwrap();
+        assert!(log.frame.capacity() > 0, "small frames reuse the buffer");
+        let big = WalRecord::DatasetAppended {
+            dataset: "ages".to_string(),
+            epoch: 1,
+            values: vec![0.5; 100_000],
+        };
+        log.append(&big, &noop).unwrap();
+        assert!(log.frame.capacity() <= FRAME_BUFFER_BOUND);
+    }
+
+    #[test]
+    fn records_roundtrip_through_frames() {
+        let records = sample_records();
         let mut log = Vec::new();
         for r in &records {
             log.extend_from_slice(&r.encode_frame().unwrap());

@@ -180,39 +180,28 @@ impl Xoshiro256 {
         0x3910_9bb0_2acb_e635,
     ];
 
-    /// Apply a jump polynomial: the new state is the linear combination
-    /// (over GF(2)) of the states visited while stepping, selected by the
-    /// polynomial's bits — the standard Blackman–Vigna construction.
-    fn apply_polynomial(&mut self, poly: [u64; 4]) {
-        let mut acc = [0u64; 4];
-        for word in poly {
-            for bit in 0..64 {
-                if word & (1u64 << bit) != 0 {
-                    for (a, s) in acc.iter_mut().zip(&self.s) {
-                        *a ^= s;
-                    }
-                }
-                self.next_u64();
-            }
-        }
-        self.s = acc;
-    }
-
-    /// Advance this generator by 2¹²⁸ steps in O(1) draws.
+    /// Advance this generator by 2¹²⁸ steps with 64 table lookups.
+    ///
+    /// A jump is a fixed linear map over GF(2), so it is applied as the
+    /// XOR of 64 precomputed images, one per 4-bit nibble of the state
+    /// — bit-identical to stepping the generator 256 times through the
+    /// published jump polynomial. The 32 KiB table is built at compile
+    /// time.
     ///
     /// Repeated jumps partition the full 2²⁵⁶ − 1 period into
     /// non-overlapping segments of 2¹²⁸ draws each — the workspace's
     /// mechanism for handing every parallel chunk its own statistically
     /// independent stream (see [`Xoshiro256::jump_streams`]).
     pub fn jump(&mut self) {
-        self.apply_polynomial(Self::JUMP);
+        self.s = JUMP_TABLE.apply(self.s);
     }
 
     /// Advance this generator by 2¹⁹² steps — the coarse counterpart of
     /// [`Xoshiro256::jump`], useful for partitioning work across
-    /// machines, each of which then sub-partitions with `jump`.
+    /// machines, each of which then sub-partitions with `jump`. Applied
+    /// through the same kind of nibble table.
     pub fn long_jump(&mut self) {
-        self.apply_polynomial(Self::LONG_JUMP);
+        self.s = LONG_JUMP_TABLE.apply(self.s);
     }
 
     /// Derive `n` statistically independent generators from one seed:
@@ -223,27 +212,119 @@ impl Xoshiro256 {
     /// `dplearn-parallel` call sites: chunk `k` always receives stream
     /// `k` regardless of how chunks are scheduled across threads.
     pub fn jump_streams(seed: u64, n: usize) -> Vec<Xoshiro256> {
-        let mut base = Xoshiro256::seed_from(seed);
+        let mut stream = Xoshiro256::seed_from(seed);
         let mut streams = Vec::with_capacity(n);
-        for _ in 0..n {
-            streams.push(base.clone());
-            base.jump();
+        for k in 0..n {
+            if k > 0 {
+                stream.jump();
+            }
+            streams.push(stream.clone());
         }
         streams
     }
 }
 
+/// The `xoshiro256` state transition (the linear engine shared by every
+/// output variant). `const` so the jump tables can be built at compile
+/// time from the same code [`Xoshiro256::next_u64`] runs.
+#[allow(clippy::manual_rotate)] // See the comment on the last line.
+const fn step([s0, s1, s2, s3]: [u64; 4]) -> [u64; 4] {
+    let t = s1 << 17;
+    let s2 = s2 ^ s0;
+    let s3 = s3 ^ s1;
+    let s1 = s1 ^ s2;
+    let s0 = s0 ^ s3;
+    // `s3.rotate_left(45)`, spelled out: the intrinsic call doubles the
+    // compile-time cost of building the jump tables, and LLVM emits the
+    // same `rol` for either form.
+    [s0, s1, s2 ^ t, (s3 << 45) | (s3 >> 19)]
+}
+
+const fn xor(a: [u64; 4], b: [u64; 4]) -> [u64; 4] {
+    [a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]]
+}
+
+/// Apply a jump polynomial bit-serially: the new state is the linear
+/// combination (over GF(2)) of the states visited while stepping,
+/// selected by the polynomial's bits — the standard Blackman–Vigna
+/// construction. 256 steps; used only to build the [`JumpTable`]s and
+/// as their test oracle.
+#[allow(clippy::indexing_slicing)] // `bit < 256` bounds `bit / 64`.
+const fn apply_polynomial(poly: [u64; 4], mut s: [u64; 4]) -> [u64; 4] {
+    let [mut a0, mut a1, mut a2, mut a3] = [0u64; 4];
+    let mut bit = 0;
+    while bit < 256 {
+        if (poly[bit / 64] >> (bit % 64)) & 1 != 0 {
+            // Scalar XORs rather than `xor()`: calls are costly in
+            // compile-time evaluation.
+            a0 ^= s[0];
+            a1 ^= s[1];
+            a2 ^= s[2];
+            a3 ^= s[3];
+        }
+        s = step(s);
+        bit += 1;
+    }
+    [a0, a1, a2, a3]
+}
+
+/// A jump polynomial tabulated by state nibble: entry `[p][v]` is the
+/// jumped image of the state whose only set bits are `v` at nibble
+/// position `p` (bits `4p..4p+4`). By linearity the jump of any state is
+/// the XOR of its 64 nibbles' entries. 64 × 16 × 256 bits = 32 KiB.
+struct JumpTable([[[u64; 4]; 16]; 64]);
+
+impl JumpTable {
+    /// Tabulate `poly` from the images of the 256 basis states.
+    #[allow(clippy::indexing_slicing)] // Loop bounds prove every index.
+    const fn build(poly: [u64; 4]) -> Self {
+        let mut table = [[[0u64; 4]; 16]; 64];
+        let mut p = 0;
+        while p < 64 {
+            let mut basis = [[0u64; 4]; 4];
+            let mut b = 0;
+            while b < 4 {
+                let bit = 4 * p + b;
+                let mut e = [0u64; 4];
+                e[bit / 64] = 1u64 << (bit % 64);
+                basis[b] = apply_polynomial(poly, e);
+                b += 1;
+            }
+            // Entry v = entry (v minus its lowest set bit) ⊕ that bit's image.
+            let mut v = 1;
+            while v < 16 {
+                let low = (v as u32).trailing_zeros() as usize;
+                table[p][v] = xor(table[p][v & (v - 1)], basis[low]);
+                v += 1;
+            }
+            p += 1;
+        }
+        JumpTable(table)
+    }
+
+    /// The jumped image of `s`: 64 lookups and XORs.
+    fn apply(&self, s: [u64; 4]) -> [u64; 4] {
+        let mut acc = [0u64; 4];
+        for (rows, word) in self.0.chunks_exact(16).zip(s) {
+            for (k, row) in rows.iter().enumerate() {
+                // A 4-bit mask indexes a 16-entry row: bounds-proven.
+                #[allow(clippy::indexing_slicing)]
+                let image = row[((word >> (4 * k)) & 0xF) as usize];
+                acc = xor(acc, image);
+            }
+        }
+        acc
+    }
+}
+
+static JUMP_TABLE: JumpTable = JumpTable::build(Xoshiro256::JUMP);
+static LONG_JUMP_TABLE: JumpTable = JumpTable::build(Xoshiro256::LONG_JUMP);
+
 impl Rng for Xoshiro256 {
     fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
-        let t = s[1] << 17;
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
+        *s = step(*s);
         result
     }
 }
@@ -376,6 +457,27 @@ mod tests {
             for j in (i + 1)..4 {
                 assert_ne!(outputs[i], outputs[j]);
             }
+        }
+    }
+
+    #[test]
+    fn table_jumps_match_the_bit_serial_polynomial() {
+        fn check(state: [u64; 4]) {
+            let mut g = Xoshiro256 { s: state };
+            g.jump();
+            assert_eq!(g.s, apply_polynomial(Xoshiro256::JUMP, state));
+            let mut g = Xoshiro256 { s: state };
+            g.long_jump();
+            assert_eq!(g.s, apply_polynomial(Xoshiro256::LONG_JUMP, state));
+        }
+        for bit in 0..256 {
+            let mut e = [0u64; 4];
+            e[bit / 64] = 1u64 << (bit % 64);
+            check(e);
+        }
+        let mut sm = SplitMix64::new(0x0123_4567_89AB_CDEF);
+        for _ in 0..10_000 {
+            check([sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()]);
         }
     }
 
