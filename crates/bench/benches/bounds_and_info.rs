@@ -12,6 +12,8 @@ use dplearn::pacbayes::bounds::{catoni_bound, maurer_bound, mcallester_bound};
 use dplearn::pacbayes::gibbs::gibbs_finite;
 use dplearn::pacbayes::kl::kl_finite;
 use dplearn::pacbayes::posterior::FinitePosterior;
+use dplearn::robust::RetryPolicy;
+use dplearn::telemetry::NoopRecorder;
 use std::hint::black_box;
 
 fn bench_bounds(c: &mut Criterion) {
@@ -64,9 +66,13 @@ fn bench_channel(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("exact_mi_8^n", n), &n, |b, _| {
             b.iter(|| black_box(lc.channel.mutual_information()))
         });
+        let policy = RetryPolicy::single_attempt(100_000);
         group.bench_with_input(BenchmarkId::new("blahut_arimoto_8^n", n), &n, |b, _| {
             b.iter(|| {
-                black_box(blahut_arimoto(&space.probs, &lc.risks, 3.0, 1e-10, 100_000).unwrap())
+                black_box(
+                    blahut_arimoto(&space.probs, &lc.risks, 3.0, 1e-10, &policy, &NoopRecorder)
+                        .unwrap(),
+                )
             })
         });
     }

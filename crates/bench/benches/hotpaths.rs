@@ -48,6 +48,8 @@ use dplearn::numerics::rng::{Rng, Xoshiro256};
 use dplearn::numerics::special::log_sum_exp;
 use dplearn::pacbayes::gibbs::{MetropolisGibbs, MhConfig};
 use dplearn::pacbayes::posterior::DiagGaussian;
+use dplearn::robust::RetryPolicy;
+use dplearn::telemetry::NoopRecorder;
 use std::hint::black_box;
 use std::io::Write;
 use std::time::Instant;
@@ -359,8 +361,9 @@ fn bench_ba(n: usize, reps: usize) -> (f64, f64, usize) {
     let beta = 8.0;
     let tol = 1e-6;
     let max_iters = 50_000;
+    let policy = RetryPolicy::single_attempt(max_iters);
 
-    let rd = blahut_arimoto(&source, &distortion, beta, tol, max_iters).unwrap();
+    let rd = blahut_arimoto(&source, &distortion, beta, tol, &policy, &NoopRecorder).unwrap();
     let (naive_kernel, naive_iters) = uncached_ba(&source, &distortion, beta, tol, max_iters);
     assert_eq!(rd.iterations, naive_iters, "iteration counts must match");
     for (a, b) in rd.channel.kernel().iter().zip(&naive_kernel) {
@@ -373,7 +376,7 @@ fn bench_ba(n: usize, reps: usize) -> (f64, f64, usize) {
         black_box(uncached_ba(&source, &distortion, beta, tol, max_iters));
     });
     let cached = median_secs(reps, || {
-        black_box(blahut_arimoto(&source, &distortion, beta, tol, max_iters).unwrap());
+        black_box(blahut_arimoto(&source, &distortion, beta, tol, &policy, &NoopRecorder).unwrap());
     });
     (uncached, cached, naive_iters)
 }

@@ -1,12 +1,12 @@
-//! Large-alphabet leakage-analysis bench: the PR 10 cache-blocked
-//! kernels vs their naive references, with a machine-readable
-//! `BENCH_mi_scale.json` artifact.
+//! Large-alphabet leakage-analysis bench: the cache-blocked kernels vs
+//! their naive references, plus the Blahut–Arimoto solve time, with a
+//! machine-readable `BENCH_mi_scale.json` artifact.
 //!
 //! Sections (each run at 1 and 4 configured workers):
 //!
 //! * `blahut_arimoto` — fixed-iteration solves (`tol = 0` runs exactly
 //!   `iters` iterations, so the work is identical at every thread
-//!   count): the default serial path vs `blahut_arimoto_tiled`.
+//!   count), timed under a single `seconds` field.
 //! * `mutual_information` — exact MI of a dense structured channel: the
 //!   boxed `DiscreteChannel::mutual_information` (naive Vec-of-Vec row
 //!   pass) vs `FlatChannel::mutual_information_blocked`.
@@ -16,9 +16,9 @@
 //!
 //! Alphabets default to 1024/4096/10240; above
 //! `DPLEARN_BENCH_MI_SCALE_NAIVE_CAP` (default 8192) the naive
-//! references are skipped — their quadratic pointer-chasing is the
-//! point of the PR, not something CI should wait on — and the skip is
-//! logged in the artifact (`naive_seconds: null`).
+//! references are skipped — their quadratic pointer-chasing is what
+//! the blocked kernels replace, not something CI should wait on — and
+//! the skip is logged in the artifact (`naive_seconds: null`).
 //!
 //! Env knobs: `DPLEARN_BENCH_MI_SCALE_SIZES` (comma-separated),
 //! `DPLEARN_BENCH_MI_SCALE_REPS`, `DPLEARN_BENCH_MI_SCALE_BA_ITERS`,
@@ -31,12 +31,12 @@
 //! Not a criterion harness: the run *is* the measurement, so CI can
 //! treat it as a smoke test and scrape the JSON.
 
-use dplearn::infotheory::blahut_arimoto::{
-    blahut_arimoto, blahut_arimoto_tiled, BaTileOptions, RateDistortion,
-};
+use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, RateDistortion};
 use dplearn::infotheory::flat::FlatChannel;
 use dplearn::infotheory::leakage::min_entropy_leakage_bits;
 use dplearn::infotheory::InfoError;
+use dplearn::robust::RetryPolicy;
+use dplearn::telemetry::NoopRecorder;
 use std::hint::black_box;
 use std::io::Write;
 use std::time::Instant;
@@ -159,34 +159,22 @@ fn main() {
             };
             let (source, distortion) = ba_problem(n);
             let beta = 8.0;
-            let naive = (n <= naive_cap).then(|| {
-                median_secs(reps, || {
-                    run_fixed_iters(blahut_arimoto(&source, &distortion, beta, 0.0, iters));
-                })
-            });
-            if naive.is_none() {
-                println!("blahut_arimoto: skipping naive reference at n={n} (> cap {naive_cap})");
-            }
-            let opts = BaTileOptions::default();
-            let tiled = median_secs(reps, || {
-                run_fixed_iters(blahut_arimoto_tiled(
+            let policy = RetryPolicy::single_attempt(iters);
+            let seconds = median_secs(reps, || {
+                run_fixed_iters(blahut_arimoto(
                     &source,
                     &distortion,
                     beta,
                     0.0,
-                    iters,
-                    &opts,
+                    &policy,
+                    &NoopRecorder,
                 ));
             });
             rows.push(Row {
                 section: "blahut_arimoto",
                 threads,
                 fields: format!(
-                    "\"alphabet\": {n}, \"iterations\": {iters}, \
-                     \"naive_seconds\": {}, \"tiled_seconds\": {tiled:.6}, \
-                     \"tiled_speedup\": {}",
-                    fmt_opt(naive),
-                    fmt_opt(naive.map(|s| s / tiled)),
+                    "\"alphabet\": {n}, \"iterations\": {iters}, \"seconds\": {seconds:.6}"
                 ),
             });
         }

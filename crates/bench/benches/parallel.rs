@@ -116,6 +116,8 @@ fn bench_chains(c: &mut Criterion) {
 
 fn bench_blahut_arimoto(c: &mut Criterion) {
     use dplearn::infotheory::blahut_arimoto::blahut_arimoto;
+    use dplearn::robust::RetryPolicy;
+    use dplearn::telemetry::NoopRecorder;
     let mut group = c.benchmark_group("parallel_blahut_arimoto");
     group.measurement_time(std::time::Duration::from_secs(5));
     group.sample_size(10);
@@ -132,10 +134,15 @@ fn bench_blahut_arimoto(c: &mut Criterion) {
                 .collect()
         })
         .collect();
+    let policy = RetryPolicy::single_attempt(20_000);
     group.bench_function(BenchmarkId::new("ba_256x256", "beta2"), |b| {
         // A loose tolerance keeps the iteration count modest: the bench
         // measures per-iteration throughput, not convergence depth.
-        b.iter(|| black_box(blahut_arimoto(&source, &distortion, 2.0, 1e-4, 20_000).unwrap()))
+        b.iter(|| {
+            black_box(
+                blahut_arimoto(&source, &distortion, 2.0, 1e-4, &policy, &NoopRecorder).unwrap(),
+            )
+        })
     });
     group.finish();
 }

@@ -27,6 +27,8 @@ use dplearn_learning::synth::DiscreteWorld;
 use dplearn_pacbayes::gibbs::gibbs_finite;
 use dplearn_pacbayes::kl::kl_finite;
 use dplearn_pacbayes::posterior::FinitePosterior;
+use dplearn_robust::RetryPolicy;
+use dplearn_telemetry::NoopRecorder;
 
 /// The finite space of datasets of size `n` over an enumerable world,
 /// with their sampling probabilities under i.i.d. draws.
@@ -241,7 +243,14 @@ pub fn theorem_42_witness(
     risks: &[Vec<f64>],
     lambda: f64,
 ) -> Result<Theorem42Witness> {
-    let rd = blahut_arimoto(&space.probs, risks, lambda, 1e-12, 200_000)?;
+    let rd = blahut_arimoto(
+        &space.probs,
+        risks,
+        lambda,
+        1e-12,
+        &RetryPolicy::single_attempt(200_000),
+        &NoopRecorder,
+    )?;
     let gibbs_gap = gibbs_fixed_point_gap(&rd, risks, lambda);
     let optimal_objective = rd.distortion + rd.rate / lambda;
     Ok(Theorem42Witness {

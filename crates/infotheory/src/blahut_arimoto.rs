@@ -19,9 +19,9 @@
 
 use crate::channel::DiscreteChannel;
 use crate::{validate_distribution, InfoError, Result};
-use dplearn_numerics::special::{kahan_sum, log_sum_exp, xlogx_over_y};
-use dplearn_robust::{ConvergenceReport, RetryPolicy};
-use dplearn_telemetry::{NoopRecorder, Recorder};
+use dplearn_numerics::special::log_sum_exp;
+use dplearn_robust::RetryPolicy;
+use dplearn_telemetry::Recorder;
 
 /// Result of a Blahut–Arimoto run.
 #[derive(Debug, Clone)]
@@ -32,14 +32,16 @@ pub struct RateDistortion {
     pub rate: f64,
     /// Expected distortion at the optimum.
     pub distortion: f64,
-    /// Iterations used.
+    /// Iterations used, summed over every attempt.
     pub iterations: usize,
+    /// Attempts used (`1` = converged without a restart).
+    pub attempts: usize,
     /// Final ℓ∞ change of the output marginal (convergence witness).
     pub final_gap: f64,
 }
 
 /// Validate Blahut–Arimoto inputs, returning the output-alphabet size.
-fn validate_ba(source: &[f64], distortion: &[Vec<f64>], beta: f64) -> Result<usize> {
+fn validate_ba(source: &[f64], distortion: &[Vec<f64>], beta: f64, tol: f64) -> Result<usize> {
     validate_distribution("source", source)?;
     if distortion.len() != source.len() {
         return Err(InfoError::InvalidParameter {
@@ -72,6 +74,15 @@ fn validate_ba(source: &[f64], distortion: &[Vec<f64>], beta: f64) -> Result<usi
         return Err(InfoError::InvalidParameter {
             name: "beta",
             reason: format!("must be finite and nonnegative, got {beta}"),
+        });
+    }
+    // `gap < tol` is never true for a NaN or negative tolerance, so such
+    // a run would silently burn its whole budget. `tol = 0` stays legal:
+    // it runs exactly the budgeted number of iterations.
+    if tol.is_nan() || tol < 0.0 {
+        return Err(InfoError::InvalidParameter {
+            name: "tol",
+            reason: format!("must be nonnegative, got {tol}"),
         });
     }
     Ok(ny)
@@ -147,10 +158,6 @@ const ROW_CELL_COST: u64 = 16;
 
 /// The alternating-minimization loop from marginal `r`, for up to
 /// `max_iters` iterations or until the marginal moves < `tol` in ℓ∞.
-///
-/// `lse` is the row normalizer: [`log_sum_exp`] on the default
-/// bit-identical path, `log_sum_exp_fast` on the opt-in reordered-sum
-/// path (see [`blahut_arimoto_fast`]).
 // The chunked updates index rows/columns with offsets handed out by the
 // parallel scheduler, all bounded by the validated kernel dimensions.
 #[allow(clippy::indexing_slicing)]
@@ -161,7 +168,6 @@ fn ba_iterate(
     mut r: Vec<f64>,
     scratch: &mut BaScratch,
     recorder: &dyn Recorder,
-    lse: fn(&[f64]) -> f64,
 ) -> BaState {
     let BaScratch {
         ny,
@@ -220,7 +226,7 @@ fn ba_iterate(
                         for ((q, &l), &bd) in row_q.iter_mut().zip(ln_r).zip(row_bd) {
                             *q = l - bd;
                         }
-                        let z = lse(row_q);
+                        let z = log_sum_exp(row_q);
                         for q in row_q.iter_mut() {
                             *q = (*q - z).exp();
                         }
@@ -280,8 +286,9 @@ fn ba_finalize(
     distortion: &[Vec<f64>],
     kernel: Vec<f64>,
     ny: usize,
-    state: BaState,
-    total_iterations: usize,
+    final_gap: f64,
+    iterations: usize,
+    attempts: usize,
 ) -> Result<RateDistortion> {
     let channel = DiscreteChannel::new(source.to_vec(), rows_from_flat(kernel, ny))?;
     let rate = channel.mutual_information();
@@ -295,136 +302,56 @@ fn ba_finalize(
         channel,
         rate,
         distortion: dist,
-        iterations: total_iterations,
-        final_gap: state.gap,
+        iterations,
+        attempts,
+        final_gap,
     })
 }
 
 /// Run Blahut–Arimoto at Lagrange multiplier `beta ≥ 0` on a source
-/// `p(x)` and distortion matrix `d[x][y]`.
+/// `p(x)` and distortion matrix `d[x][y]`, under a bounded-restart
+/// [`RetryPolicy`].
 ///
-/// Converges when the output marginal moves less than `tol` in ℓ∞, or
-/// errors after `max_iters`. For a self-healing variant that escalates
-/// its iteration budget instead of erroring, see
-/// [`blahut_arimoto_with_retry`].
-pub fn blahut_arimoto(
-    source: &[f64],
-    distortion: &[Vec<f64>],
-    beta: f64,
-    tol: f64,
-    max_iters: usize,
-) -> Result<RateDistortion> {
-    ba_run(source, distortion, beta, tol, max_iters, log_sum_exp)
-}
-
-/// [`blahut_arimoto`] on the **reordered-sum fast path**: row normalizers
-/// use `log_sum_exp_fast` (four-lane uncompensated exp-sum) instead of
-/// the serial Kahan [`log_sum_exp`].
+/// An attempt converges when the output marginal moves less than `tol`
+/// (≥ 0) in ℓ∞. Attempt 0 runs `policy.base_iters` iterations from the
+/// uniform marginal. Each subsequent attempt resumes from the failed
+/// marginal **damped toward uniform** (`r ← (1−damping)·r +
+/// damping·uniform`, which pulls the iterate off collapsed corners where
+/// mass on an output letter underflowed to zero) with a geometrically
+/// larger budget (`base_iters · growth^attempt`), up to
+/// `policy.max_attempts` total attempts. A fixed budget is
+/// [`RetryPolicy::single_attempt`]. Deterministic: no randomness, no
+/// clocks — the schedule is a pure function of the policy, so results
+/// are bit-identical at every `DPLEARN_THREADS` setting.
 ///
-/// Per the workspace pinning contract this path is *not* bit-identical
-/// to [`blahut_arimoto`] — the per-row sums associate differently, so
-/// iterates drift by ulps — but it converges to the same fixed point:
-/// the `fast_path_reaches_the_same_fixed_point` test pins closeness of
-/// rate/distortion and a tiny [`gibbs_fixed_point_gap`], and the
-/// `kernel_fastpaths` suite pins distribution-equivalence. It *is*
-/// thread-count invariant: the lane reassociation is fixed per row, not
-/// scheduling-dependent.
-pub fn blahut_arimoto_fast(
-    source: &[f64],
-    distortion: &[Vec<f64>],
-    beta: f64,
-    tol: f64,
-    max_iters: usize,
-) -> Result<RateDistortion> {
-    ba_run(
-        source,
-        distortion,
-        beta,
-        tol,
-        max_iters,
-        dplearn_numerics::special::log_sum_exp_fast,
-    )
-}
-
-fn ba_run(
-    source: &[f64],
-    distortion: &[Vec<f64>],
-    beta: f64,
-    tol: f64,
-    max_iters: usize,
-    lse: fn(&[f64]) -> f64,
-) -> Result<RateDistortion> {
-    let ny = validate_ba(source, distortion, beta)?;
-    // Start from the uniform output marginal.
-    let r = vec![1.0 / ny as f64; ny];
-    let mut scratch = BaScratch::new(distortion, beta, ny);
-    let state = ba_iterate(source, tol, max_iters, r, &mut scratch, &NoopRecorder, lse);
-    if !state.converged {
-        return Err(InfoError::DidNotConverge {
-            iterations: state.iterations,
-        });
-    }
-    let total = state.iterations;
-    ba_finalize(
-        source,
-        distortion,
-        std::mem::take(&mut scratch.kernel),
-        ny,
-        state,
-        total,
-    )
-}
-
-/// Blahut–Arimoto with a bounded-restart [`RetryPolicy`] instead of a
-/// bare `max_iters` error.
+/// On success [`RateDistortion::iterations`] and
+/// [`RateDistortion::attempts`] count the work across attempts; if every
+/// attempt is exhausted, returns [`InfoError::DidNotConverge`] with the
+/// *total* iteration count.
 ///
-/// Attempt 0 runs `policy.base_iters` iterations from the uniform
-/// marginal. Each subsequent attempt resumes from the failed marginal
-/// **damped toward uniform** (`r ← (1−damping)·r + damping·uniform`,
-/// which pulls the iterate off collapsed corners where mass on an output
-/// letter underflowed to zero) with a geometrically larger budget
-/// (`base_iters · growth^attempt`), up to `policy.max_attempts` total
-/// attempts. Deterministic: no randomness, no clocks — the schedule is a
-/// pure function of the policy, so results are bit-identical at every
-/// `DPLEARN_THREADS` setting.
-///
-/// On success returns the solution plus a [`ConvergenceReport`]
-/// recording attempts and total iterations; if every attempt is
-/// exhausted, returns [`InfoError::DidNotConverge`] with the *total*
-/// iteration count across attempts.
-pub fn blahut_arimoto_with_retry(
-    source: &[f64],
-    distortion: &[Vec<f64>],
-    beta: f64,
-    tol: f64,
-    policy: &RetryPolicy,
-) -> Result<(RateDistortion, ConvergenceReport)> {
-    blahut_arimoto_with_retry_recorded(source, distortion, beta, tol, policy, &NoopRecorder)
-}
-
-/// [`blahut_arimoto_with_retry`] with telemetry: every outer-loop ℓ∞
-/// marginal gap lands in the `infotheory.ba.gap` histogram, each damped
-/// restart bumps the `infotheory.ba.restarts` counter, and the run ends
-/// with `infotheory.ba.iterations` (total across attempts), an
+/// Telemetry: every outer-loop ℓ∞ marginal gap lands in the
+/// `infotheory.ba.gap` histogram, each damped restart bumps the
+/// `infotheory.ba.restarts` counter, and the run ends with
+/// `infotheory.ba.iterations` (total across attempts), an
 /// `infotheory.ba.final_gap` gauge, and either an `infotheory.ba.runs`
-/// or `infotheory.ba.nonconverged` counter.
-///
-/// The recorder never influences the iteration — all metrics come from
-/// the sequential outer loop, so recorded values are bit-identical at
-/// every `DPLEARN_THREADS` setting.
-pub fn blahut_arimoto_with_retry_recorded(
+/// or `infotheory.ba.nonconverged` counter. The recorder never
+/// influences the iteration — all metrics come from the sequential
+/// outer loop, so recorded values are bit-identical at every
+/// `DPLEARN_THREADS` setting. Pass
+/// [`NoopRecorder`](dplearn_telemetry::NoopRecorder) to record nothing.
+pub fn blahut_arimoto(
     source: &[f64],
     distortion: &[Vec<f64>],
     beta: f64,
     tol: f64,
     policy: &RetryPolicy,
     recorder: &dyn Recorder,
-) -> Result<(RateDistortion, ConvergenceReport)> {
+) -> Result<RateDistortion> {
     policy.validate().map_err(|e| InfoError::InvalidParameter {
         name: "policy",
         reason: e.to_string(),
     })?;
-    let ny = validate_ba(source, distortion, beta)?;
+    let ny = validate_ba(source, distortion, beta, tol)?;
     let uniform = 1.0 / ny as f64;
     let mut r = vec![uniform; ny];
     let mut total_iterations = 0usize;
@@ -434,41 +361,33 @@ pub fn blahut_arimoto_with_retry_recorded(
     let mut scratch = BaScratch::new(distortion, beta, ny);
     for attempt in 0..policy.max_attempts {
         let budget = policy.budget_for(attempt);
-        let state = ba_iterate(source, tol, budget, r, &mut scratch, recorder, log_sum_exp);
+        let state = ba_iterate(source, tol, budget, r, &mut scratch, recorder);
         total_iterations = total_iterations.saturating_add(state.iterations);
         if state.converged {
-            let report = ConvergenceReport {
-                attempts: attempt + 1,
-                converged: true,
-                degraded: false,
-                total_iterations,
-                final_residual: state.gap,
-            };
             if observe {
                 recorder.counter_add("infotheory.ba.runs", "", 1);
                 recorder.counter_add("infotheory.ba.iterations", "", total_iterations as u64);
                 recorder.gauge_set("infotheory.ba.final_gap", "", state.gap);
             }
-            let rd = ba_finalize(
+            return ba_finalize(
                 source,
                 distortion,
                 std::mem::take(&mut scratch.kernel),
                 ny,
-                state,
+                state.gap,
                 total_iterations,
-            )?;
-            return Ok((rd, report));
+                attempt + 1,
+            );
         }
         // Damped re-initialization: mix the failed marginal back toward
         // uniform. Mixing two normalized distributions stays normalized.
         if observe && attempt + 1 < policy.max_attempts {
             recorder.counter_add("infotheory.ba.restarts", "", 1);
         }
-        r = state
-            .r
-            .iter()
-            .map(|&ri| (1.0 - policy.damping) * ri + policy.damping * uniform)
-            .collect();
+        r = state.r;
+        for ri in &mut r {
+            *ri = (1.0 - policy.damping) * *ri + policy.damping * uniform;
+        }
     }
     if observe {
         recorder.counter_add("infotheory.ba.nonconverged", "", 1);
@@ -477,330 +396,6 @@ pub fn blahut_arimoto_with_retry_recorded(
     Err(InfoError::DidNotConverge {
         iterations: total_iterations,
     })
-}
-
-/// Tiling and acceleration options for [`blahut_arimoto_tiled`].
-///
-/// The defaults reproduce [`blahut_arimoto`] bit for bit: auto tile
-/// sizing picks the same chunk geometry as the default path, and both
-/// accelerators (zero-mass pruning, frozen early-exit) are *exact* —
-/// they skip only work whose result is provably bit-identical to
-/// recomputing it, so they are safe to leave on (pinned by
-/// `tiled_defaults_are_bit_identical_to_the_default_path`).
-#[derive(Debug, Clone)]
-pub struct BaTileOptions {
-    /// Source rows per parallel tile in the kernel sweep
-    /// (`0` = auto: `nx/64`, the default path's geometry).
-    pub row_tile: usize,
-    /// Output columns per parallel tile in the marginal sweep
-    /// (`0` = auto: `ny/64`).
-    pub col_tile: usize,
-    /// Skip zero-mass source rows in both sweeps. Their marginal
-    /// contributions are exact `+0.0` terms (no-ops on the never-negative
-    /// accumulators), and their kernel rows are reconstructed at
-    /// finalization from the same `ln r` and normalizer the skipped
-    /// sweep would have used — bit-identical either way.
-    pub prune_zero_mass: bool,
-    /// Once an iteration leaves the marginal bitwise unchanged
-    /// (ℓ∞ gap exactly `0.0`), every subsequent row update and marginal
-    /// are provably identical to the last computed ones, so the sweeps
-    /// are skipped; iteration counting and gap telemetry continue
-    /// exactly as if they had run. Only reachable when `tol ≤ 0`
-    /// (a positive tolerance stops at the first zero gap anyway) — the
-    /// fixed-iteration benchmarking pattern this crate's benches use.
-    pub frozen_early_exit: bool,
-}
-
-impl Default for BaTileOptions {
-    fn default() -> Self {
-        BaTileOptions {
-            row_tile: 0,
-            col_tile: 0,
-            prune_zero_mass: true,
-            frozen_early_exit: true,
-        }
-    }
-}
-
-/// Work counters from one tiled run, recorded (sequentially, after the
-/// loop) as `infotheory.ba.tiles` and `infotheory.ba.rows_converged`.
-#[derive(Debug, Clone, Copy, Default)]
-struct BaTileStats {
-    tiles: u64,
-    rows_converged: u64,
-}
-
-/// The tiled alternating-minimization loop: [`ba_iterate`] with
-/// configurable tile geometry, zero-mass row pruning, and the frozen
-/// early-exit. Kept separate so the default path's loop stays verbatim.
-// Chunk offsets are handed out by the parallel scheduler and bounded by
-// the validated kernel dimensions, like `ba_iterate`'s.
-#[allow(clippy::indexing_slicing)]
-#[allow(clippy::too_many_arguments)]
-fn ba_iterate_tiled(
-    source: &[f64],
-    tol: f64,
-    max_iters: usize,
-    mut r: Vec<f64>,
-    scratch: &mut BaScratch,
-    recorder: &dyn Recorder,
-    lse: fn(&[f64]) -> f64,
-    opts: &BaTileOptions,
-    stats: &mut BaTileStats,
-) -> BaState {
-    let BaScratch {
-        ny,
-        kernel,
-        beta_d,
-        ln_r,
-        new_r,
-    } = scratch;
-    let ny = *ny;
-    let nx = source.len();
-    let beta_d = &*beta_d;
-    let mut gap = f64::INFINITY;
-    let mut iterations = 0;
-    let observe = recorder.enabled();
-    let prune = opts.prune_zero_mass;
-    // Rows the sweeps actually visit (for the rows_converged counter).
-    let active_rows = if prune {
-        source.iter().filter(|&&px| px != 0.0).count()
-    } else {
-        nx
-    } as u64;
-    // Tile geometry: explicit sizes, or the default path's `n/64`
-    // heuristic. Fixed per problem size — never a function of the
-    // worker count — preserving the determinism contract.
-    let row_tile_rows = if opts.row_tile > 0 {
-        opts.row_tile
-    } else {
-        nx.div_ceil(64).max(1)
-    };
-    let col_tile = if opts.col_tile > 0 {
-        opts.col_tile
-    } else {
-        ny.div_ceil(64).max(1)
-    };
-    let row_chunk_cells = row_tile_rows * ny;
-    let iter_tiles = (nx.div_ceil(row_tile_rows) + ny.div_ceil(col_tile)) as u64;
-    let col_cost = (2 * nx) as u64;
-    // Set once the marginal is bitwise stationary: `gap == 0.0` means
-    // `r` and `new_r` agree bit for bit (every entry is a nonnegative
-    // sum, so there is no −0.0/+0.0 ambiguity and no NaN), and the next
-    // iteration is a pure function of `r` — recomputing it must
-    // reproduce the kernel, the marginal, and a zero gap exactly.
-    let mut frozen = false;
-    while iterations < max_iters {
-        iterations += 1;
-        if frozen {
-            stats.rows_converged += active_rows;
-            if observe {
-                recorder.histogram_record("infotheory.ba.gap", "", 0.0);
-            }
-            if gap < tol {
-                break;
-            }
-            continue;
-        }
-        stats.tiles += iter_tiles;
-        for (l, &ry) in ln_r.iter_mut().zip(&r) {
-            *l = if ry == 0.0 {
-                f64::NEG_INFINITY
-            } else {
-                ry.ln()
-            };
-        }
-        {
-            let ln_r = &*ln_r;
-            dplearn_parallel::par_for_each_chunk_mut_with_cost(
-                kernel,
-                row_chunk_cells,
-                ROW_CELL_COST,
-                |_chunk, start, cells| {
-                    for (offset_row, row_q) in cells.chunks_mut(ny).enumerate() {
-                        let row0 = start + offset_row * ny;
-                        // A pruned row's kernel cells are not read by the
-                        // marginal sweep below and are rebuilt exactly at
-                        // finalization, so its (stale) contents are dead.
-                        if prune && source[row0 / ny] == 0.0 {
-                            continue;
-                        }
-                        let row_bd = &beta_d[row0..row0 + ny];
-                        for ((q, &l), &bd) in row_q.iter_mut().zip(ln_r).zip(row_bd) {
-                            *q = l - bd;
-                        }
-                        let z = lse(row_q);
-                        for q in row_q.iter_mut() {
-                            *q = (*q - z).exp();
-                        }
-                    }
-                },
-            );
-        }
-        new_r.fill(0.0);
-        {
-            let kernel = &*kernel;
-            dplearn_parallel::par_for_each_chunk_mut_with_cost(
-                new_r,
-                col_tile,
-                col_cost,
-                |_chunk, start, cols| {
-                    let width = cols.len();
-                    for (x, &px) in source.iter().enumerate() {
-                        // p(x) = 0 terms are exact +0.0 no-ops on the
-                        // nonnegative accumulators.
-                        if prune && px == 0.0 {
-                            continue;
-                        }
-                        let row0 = x * ny + start;
-                        for (nr, &q) in cols.iter_mut().zip(&kernel[row0..row0 + width]) {
-                            *nr += px * q;
-                        }
-                    }
-                },
-            );
-        }
-        gap = r
-            .iter()
-            .zip(&*new_r)
-            .map(|(&a, &b)| (a - b).abs())
-            .fold(0.0, f64::max);
-        std::mem::swap(&mut r, new_r);
-        if observe {
-            recorder.histogram_record("infotheory.ba.gap", "", gap);
-        }
-        if opts.frozen_early_exit && gap == 0.0 {
-            frozen = true;
-        }
-        if gap < tol {
-            break;
-        }
-    }
-    BaState {
-        r,
-        gap,
-        iterations,
-        converged: gap < tol,
-    }
-}
-
-/// Rebuild the kernel rows of pruned (zero-mass) source symbols from the
-/// last computed `ln r` — the identical logits, normalizer, and
-/// exponentiation the skipped row sweep would have produced, so the
-/// finalized kernel is bit-identical to the unpruned run's.
-// Row offsets are products of validated dimensions.
-#[allow(clippy::indexing_slicing)]
-fn ba_fill_pruned_rows(source: &[f64], scratch: &mut BaScratch, lse: fn(&[f64]) -> f64) {
-    let BaScratch {
-        ny,
-        kernel,
-        beta_d,
-        ln_r,
-        ..
-    } = scratch;
-    let ny = *ny;
-    for (x, &px) in source.iter().enumerate() {
-        if px != 0.0 {
-            continue;
-        }
-        let row0 = x * ny;
-        let row_q = &mut kernel[row0..row0 + ny];
-        let row_bd = &beta_d[row0..row0 + ny];
-        for ((q, &l), &bd) in row_q.iter_mut().zip(&*ln_r).zip(row_bd) {
-            *q = l - bd;
-        }
-        let z = lse(row_q);
-        for q in row_q.iter_mut() {
-            *q = (*q - z).exp();
-        }
-    }
-}
-
-/// [`blahut_arimoto`] with explicit tile geometry and the exact
-/// accelerators of [`BaTileOptions`] — the large-alphabet entry point.
-///
-/// Bit-identical to [`blahut_arimoto`] for **any** option values at
-/// **any** `DPLEARN_THREADS` (the accelerators only skip provably
-/// redundant work; tile boundaries never change an accumulation order) —
-/// pinned across tile sizes {1, 7, 64, 4096} in `tests/determinism.rs`.
-pub fn blahut_arimoto_tiled(
-    source: &[f64],
-    distortion: &[Vec<f64>],
-    beta: f64,
-    tol: f64,
-    max_iters: usize,
-    opts: &BaTileOptions,
-) -> Result<RateDistortion> {
-    blahut_arimoto_tiled_recorded(
-        source,
-        distortion,
-        beta,
-        tol,
-        max_iters,
-        opts,
-        &NoopRecorder,
-    )
-}
-
-/// [`blahut_arimoto_tiled`] with telemetry: per-iteration gaps land in
-/// the `infotheory.ba.gap` histogram, and the run ends with
-/// `infotheory.ba.tiles` (tiles dispatched to the scheduler across all
-/// iterations) and `infotheory.ba.rows_converged` (row updates skipped
-/// by the frozen early-exit). All counters are accumulated in the
-/// sequential control loop, so snapshots are bit-identical at every
-/// thread count.
-pub fn blahut_arimoto_tiled_recorded(
-    source: &[f64],
-    distortion: &[Vec<f64>],
-    beta: f64,
-    tol: f64,
-    max_iters: usize,
-    opts: &BaTileOptions,
-    recorder: &dyn Recorder,
-) -> Result<RateDistortion> {
-    let ny = validate_ba(source, distortion, beta)?;
-    let r = vec![1.0 / ny as f64; ny];
-    let mut scratch = BaScratch::new(distortion, beta, ny);
-    let mut stats = BaTileStats::default();
-    let state = ba_iterate_tiled(
-        source,
-        tol,
-        max_iters,
-        r,
-        &mut scratch,
-        recorder,
-        lse_of(opts),
-        opts,
-        &mut stats,
-    );
-    if recorder.enabled() {
-        recorder.counter_add("infotheory.ba.tiles", "", stats.tiles);
-        recorder.counter_add("infotheory.ba.rows_converged", "", stats.rows_converged);
-    }
-    if !state.converged {
-        return Err(InfoError::DidNotConverge {
-            iterations: state.iterations,
-        });
-    }
-    if opts.prune_zero_mass {
-        ba_fill_pruned_rows(source, &mut scratch, lse_of(opts));
-    }
-    let total = state.iterations;
-    ba_finalize(
-        source,
-        distortion,
-        std::mem::take(&mut scratch.kernel),
-        ny,
-        state,
-        total,
-    )
-}
-
-/// The tiled path always normalizes with the bit-identical
-/// [`log_sum_exp`]; indirection kept so a future fast-path variant can
-/// reuse the plumbing.
-fn lse_of(_opts: &BaTileOptions) -> fn(&[f64]) -> f64 {
-    log_sum_exp
 }
 
 /// ℓ∞ distance between a channel's rows and the Gibbs kernel built from a
@@ -848,15 +443,29 @@ pub fn lagrangian(
     Ok(channel.mutual_information() + beta * dist)
 }
 
-/// Exact KL divergence between two channel rows — helper for tests.
-pub fn row_kl(p: &[f64], q: &[f64]) -> f64 {
-    kahan_sum(p.iter().zip(q).map(|(&a, &b)| xlogx_over_y(a, b)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dplearn_numerics::rng::{Rng, Xoshiro256};
+    use dplearn_telemetry::{MemoryRecorder, NoopRecorder};
+
+    /// One unrecorded attempt of at most `max_iters` iterations.
+    fn solve(
+        source: &[f64],
+        distortion: &[Vec<f64>],
+        beta: f64,
+        tol: f64,
+        max_iters: usize,
+    ) -> Result<RateDistortion> {
+        blahut_arimoto(
+            source,
+            distortion,
+            beta,
+            tol,
+            &RetryPolicy::single_attempt(max_iters),
+            &NoopRecorder,
+        )
+    }
 
     fn close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "{a} vs {b} (tol {tol})");
@@ -871,13 +480,13 @@ mod tests {
     #[test]
     fn beta_zero_gives_zero_rate() {
         // No distortion pressure: the optimal channel ignores the input.
-        let rd = blahut_arimoto(&[0.5, 0.5], &hamming(2), 0.0, 1e-12, 1000).unwrap();
+        let rd = solve(&[0.5, 0.5], &hamming(2), 0.0, 1e-12, 1000).unwrap();
         close(rd.rate, 0.0, 1e-9);
     }
 
     #[test]
     fn large_beta_approaches_zero_distortion_full_rate() {
-        let rd = blahut_arimoto(&[0.5, 0.5], &hamming(2), 50.0, 1e-12, 10_000).unwrap();
+        let rd = solve(&[0.5, 0.5], &hamming(2), 50.0, 1e-12, 10_000).unwrap();
         close(rd.distortion, 0.0, 1e-6);
         close(rd.rate, std::f64::consts::LN_2, 1e-4);
     }
@@ -888,7 +497,7 @@ mod tests {
         // R(D) = ln2 − H(D). The BA solution at β corresponds to
         // D = 1/(1+e^β).
         let beta = 2.0f64;
-        let rd = blahut_arimoto(&[0.5, 0.5], &hamming(2), beta, 1e-13, 20_000).unwrap();
+        let rd = solve(&[0.5, 0.5], &hamming(2), beta, 1e-13, 20_000).unwrap();
         let d = 1.0 / (1.0 + beta.exp());
         close(rd.distortion, d, 1e-6);
         let want_rate = std::f64::consts::LN_2 - dplearn_numerics::special::binary_entropy(d);
@@ -904,7 +513,7 @@ mod tests {
             vec![1.0, 0.7, 0.0],
         ];
         let beta = 3.0;
-        let rd = blahut_arimoto(&source, &distortion, beta, 1e-13, 50_000).unwrap();
+        let rd = solve(&source, &distortion, beta, 1e-13, 50_000).unwrap();
         let gap = gibbs_fixed_point_gap(&rd, &distortion, beta);
         assert!(gap < 1e-9, "Gibbs fixed-point gap {gap}");
     }
@@ -914,7 +523,7 @@ mod tests {
         let source = [0.4, 0.6];
         let distortion = vec![vec![0.0, 1.0], vec![0.8, 0.1]];
         let beta = 1.5;
-        let rd = blahut_arimoto(&source, &distortion, beta, 1e-13, 50_000).unwrap();
+        let rd = solve(&source, &distortion, beta, 1e-13, 50_000).unwrap();
         let opt = lagrangian(&source, rd.channel.kernel(), &distortion, beta).unwrap();
         let mut rng = Xoshiro256::seed_from(91);
         for _ in 0..2000 {
@@ -985,10 +594,13 @@ mod tests {
     fn scratch_reuse_output_is_bit_identical_to_naive_reference() {
         // The reused-scratch solver must reproduce the naive
         // allocate-per-iteration iteration bit for bit, across symmetric
-        // and asymmetric sources and a hard β that runs many iterations.
+        // and asymmetric sources, sources with zero-mass symbols, and a
+        // hard β that runs many iterations.
         let cases: Vec<(Vec<f64>, Vec<Vec<f64>>, f64)> = vec![
             (vec![0.3, 0.45, 0.25], hamming(3), 2.5),
             (vec![0.2, 0.8], hamming(2), 5.0),
+            (vec![0.3, 0.0, 0.45, 0.25], hamming(4), 2.5),
+            (vec![0.0, 0.2, 0.8, 0.0], hamming(4), 5.0),
             (
                 vec![0.3, 0.45, 0.25],
                 vec![
@@ -1001,7 +613,7 @@ mod tests {
         ];
         for (source, distortion, beta) in cases {
             let (tol, max_iters) = (1e-13, 50_000);
-            let rd = blahut_arimoto(&source, &distortion, beta, tol, max_iters).unwrap();
+            let rd = solve(&source, &distortion, beta, tol, max_iters).unwrap();
             let (want_kernel, _, want_iters) =
                 naive_ba_reference(&source, &distortion, beta, tol, max_iters);
             assert_eq!(rd.iterations, want_iters);
@@ -1026,9 +638,8 @@ mod tests {
             growth: 4.0,
             damping: 0.5,
         };
-        let (rd, rep) =
-            blahut_arimoto_with_retry(&source, &distortion, beta, tol, &policy).unwrap();
-        assert!(rep.attempts > 1, "premise: restarts must actually happen");
+        let rd = blahut_arimoto(&source, &distortion, beta, tol, &policy, &NoopRecorder).unwrap();
+        assert!(rd.attempts > 1, "premise: restarts must actually happen");
         // Reference: replay the retry schedule with a brand-new solve per
         // attempt (fresh scratch each time) and compare bits.
         let ny = 2;
@@ -1037,22 +648,14 @@ mod tests {
         for attempt in 0.. {
             let budget = policy.budget_for(attempt);
             let mut scratch = BaScratch::new(&distortion, beta, ny);
-            let state = ba_iterate(
-                &source,
-                tol,
-                budget,
-                r,
-                &mut scratch,
-                &NoopRecorder,
-                log_sum_exp,
-            );
+            let state = ba_iterate(&source, tol, budget, r, &mut scratch, &NoopRecorder);
             if state.converged {
                 for (row, want_row) in rd.channel.kernel().iter().zip(scratch.kernel.chunks(ny)) {
                     for (&q, &wq) in row.iter().zip(want_row) {
                         assert_eq!(q.to_bits(), wq.to_bits());
                     }
                 }
-                assert_eq!(rep.attempts, attempt + 1);
+                assert_eq!(rd.attempts, attempt + 1);
                 break;
             }
             r = state
@@ -1074,7 +677,7 @@ mod tests {
             vec![1.0, 0.7, 0.0],
         ];
         let run = || {
-            let rd = blahut_arimoto(&source, &distortion, 3.0, 1e-13, 50_000).unwrap();
+            let rd = solve(&source, &distortion, 3.0, 1e-13, 50_000).unwrap();
             let kernel_bits: Vec<Vec<u64>> = rd
                 .channel
                 .kernel()
@@ -1092,34 +695,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_reaches_the_same_fixed_point() {
-        // The reordered-sum fast path is not bit-identical to the
-        // default, but it must land on the same rate–distortion point
-        // and satisfy the Gibbs fixed-point identity just as tightly.
-        let source = [0.3, 0.45, 0.25];
-        let distortion = vec![
-            vec![0.0, 0.6, 1.0],
-            vec![0.5, 0.0, 0.4],
-            vec![1.0, 0.7, 0.0],
-        ];
-        let beta = 3.0;
-        let slow = blahut_arimoto(&source, &distortion, beta, 1e-13, 50_000).unwrap();
-        let fast = blahut_arimoto_fast(&source, &distortion, beta, 1e-13, 50_000).unwrap();
-        close(fast.rate, slow.rate, 1e-9);
-        close(fast.distortion, slow.distortion, 1e-9);
-        let gap = gibbs_fixed_point_gap(&fast, &distortion, beta);
-        assert!(gap < 1e-9, "fast-path Gibbs fixed-point gap {gap}");
-        // And the fast path is still thread-count invariant.
-        let bits = |threads| {
-            dplearn_parallel::set_thread_count(threads);
-            let rd = blahut_arimoto_fast(&source, &distortion, beta, 1e-13, 50_000).unwrap();
-            dplearn_parallel::set_thread_count(0);
-            rd.rate.to_bits()
-        };
-        assert_eq!(bits(1), bits(4));
-    }
-
-    #[test]
     fn retry_recovers_from_injected_non_convergence() {
         // An iteration budget far too small for the tolerance: the bare
         // solver errors, the retried solver escalates geometrically and
@@ -1128,7 +703,7 @@ mod tests {
         let distortion = hamming(2);
         let (beta, tol) = (5.0, 1e-13);
         assert!(matches!(
-            blahut_arimoto(&source, &distortion, beta, tol, 2),
+            solve(&source, &distortion, beta, tol, 2),
             Err(InfoError::DidNotConverge { .. })
         ));
         let policy = RetryPolicy {
@@ -1137,14 +712,13 @@ mod tests {
             growth: 4.0,
             damping: 0.5,
         };
-        let (rd, report) = blahut_arimoto_with_retry(&source, &distortion, beta, tol, &policy)
+        let rd = blahut_arimoto(&source, &distortion, beta, tol, &policy, &NoopRecorder)
             .expect("retry should recover");
-        assert!(report.converged && !report.degraded);
-        assert!(report.attempts > 1, "should have needed a restart");
-        assert!(report.total_iterations > 2);
+        assert!(rd.attempts > 1, "should have needed a restart");
+        assert!(rd.iterations > 2);
         assert!(rd.final_gap < tol);
         // The retried answer matches a single generous run.
-        let direct = blahut_arimoto(&source, &distortion, beta, tol, 100_000).unwrap();
+        let direct = solve(&source, &distortion, beta, tol, 100_000).unwrap();
         close(rd.rate, direct.rate, 1e-9);
         close(rd.distortion, direct.distortion, 1e-9);
     }
@@ -1160,9 +734,9 @@ mod tests {
             damping: 0.5,
         };
         let run = || {
-            let (rd, rep) =
-                blahut_arimoto_with_retry(&source, &distortion, 2.0, 1e-12, &policy).unwrap();
-            (rd.rate.to_bits(), rep.attempts, rep.total_iterations)
+            let rd =
+                blahut_arimoto(&source, &distortion, 2.0, 1e-12, &policy, &NoopRecorder).unwrap();
+            (rd.rate.to_bits(), rd.attempts, rd.iterations)
         };
         let a = run();
         let b = run();
@@ -1178,7 +752,7 @@ mod tests {
             growth: 1.0,
             damping: 0.0,
         };
-        match blahut_arimoto_with_retry(&[0.2, 0.8], &hamming(2), 5.0, 1e-15, &policy) {
+        match blahut_arimoto(&[0.2, 0.8], &hamming(2), 5.0, 1e-15, &policy, &NoopRecorder) {
             Err(InfoError::DidNotConverge { iterations }) => assert_eq!(iterations, 3),
             other => panic!("expected DidNotConverge, got {other:?}"),
         }
@@ -1188,14 +762,13 @@ mod tests {
             ..RetryPolicy::default()
         };
         assert!(matches!(
-            blahut_arimoto_with_retry(&[0.5, 0.5], &hamming(2), 1.0, 1e-9, &bad),
+            blahut_arimoto(&[0.5, 0.5], &hamming(2), 1.0, 1e-9, &bad, &NoopRecorder),
             Err(InfoError::InvalidParameter { name: "policy", .. })
         ));
     }
 
     #[test]
     fn recorded_retry_matches_plain_and_traces_the_gap() {
-        use dplearn_telemetry::MemoryRecorder;
         let source = [0.2, 0.8];
         let distortion = hamming(2);
         let (beta, tol) = (5.0, 1e-13);
@@ -1206,16 +779,17 @@ mod tests {
             damping: 0.5,
         };
         let recorder = MemoryRecorder::new();
-        let (plain, plain_rep) =
-            blahut_arimoto_with_retry(&source, &distortion, beta, tol, &policy).unwrap();
-        let (rd, rep) =
-            blahut_arimoto_with_retry_recorded(&source, &distortion, beta, tol, &policy, &recorder)
-                .unwrap();
+        let plain =
+            blahut_arimoto(&source, &distortion, beta, tol, &policy, &NoopRecorder).unwrap();
+        let rd = blahut_arimoto(&source, &distortion, beta, tol, &policy, &recorder).unwrap();
         // Observing the run must not change it.
         assert_eq!(rd.rate.to_bits(), plain.rate.to_bits());
-        assert_eq!(rep, plain_rep);
+        assert_eq!(
+            (rd.attempts, rd.iterations, rd.final_gap.to_bits()),
+            (plain.attempts, plain.iterations, plain.final_gap.to_bits())
+        );
         assert!(
-            rep.attempts > 1,
+            rd.attempts > 1,
             "premise: small base budget forces restarts"
         );
 
@@ -1229,11 +803,11 @@ mod tests {
         assert_eq!(counter("infotheory.ba.runs"), Some(1));
         assert_eq!(
             counter("infotheory.ba.restarts"),
-            Some(rep.attempts as u64 - 1)
+            Some(rd.attempts as u64 - 1)
         );
         assert_eq!(
             counter("infotheory.ba.iterations"),
-            Some(rep.total_iterations as u64)
+            Some(rd.iterations as u64)
         );
         // One gap observation per outer iteration across all attempts.
         let gap = snap
@@ -1244,7 +818,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             gap.total + gap.non_finite,
-            rep.total_iterations as u64,
+            rd.iterations as u64,
             "one gap point per iteration"
         );
         // Non-convergence is itself observable.
@@ -1255,15 +829,7 @@ mod tests {
             damping: 0.0,
         };
         let rec2 = MemoryRecorder::new();
-        assert!(blahut_arimoto_with_retry_recorded(
-            &source,
-            &distortion,
-            beta,
-            1e-15,
-            &starved,
-            &rec2
-        )
-        .is_err());
+        assert!(blahut_arimoto(&source, &distortion, beta, 1e-15, &starved, &rec2).is_err());
         let snap2 = rec2.snapshot().unwrap();
         assert!(snap2
             .counters
@@ -1271,196 +837,29 @@ mod tests {
             .any(|(k, v)| k == "infotheory.ba.nonconverged" && *v == 1));
     }
 
-    /// Cases with and without zero-mass source symbols, including the
-    /// asymmetric distortion that runs many iterations.
-    fn tiled_cases() -> Vec<(Vec<f64>, Vec<Vec<f64>>, f64)> {
-        vec![
-            (vec![0.3, 0.45, 0.25], hamming(3), 2.5),
-            (vec![0.3, 0.0, 0.45, 0.25], hamming(4), 2.5),
-            (vec![0.0, 0.2, 0.8, 0.0], hamming(4), 5.0),
-            (
-                vec![0.3, 0.45, 0.25],
-                vec![
-                    vec![0.0, 0.6, 1.0],
-                    vec![0.5, 0.0, 0.4],
-                    vec![1.0, 0.7, 0.0],
-                ],
-                3.0,
-            ),
-        ]
-    }
-
-    #[test]
-    fn tiled_defaults_are_bit_identical_to_the_default_path() {
-        for (source, distortion, beta) in tiled_cases() {
-            let (tol, max_iters) = (1e-13, 50_000);
-            let want = blahut_arimoto(&source, &distortion, beta, tol, max_iters).unwrap();
-            let got = blahut_arimoto_tiled(
-                &source,
-                &distortion,
-                beta,
-                tol,
-                max_iters,
-                &BaTileOptions::default(),
-            )
-            .unwrap();
-            assert_eq!(got.iterations, want.iterations);
-            assert_eq!(got.rate.to_bits(), want.rate.to_bits());
-            assert_eq!(got.distortion.to_bits(), want.distortion.to_bits());
-            for (row, want_row) in got.channel.kernel().iter().zip(want.channel.kernel()) {
-                for (&q, &wq) in row.iter().zip(want_row) {
-                    assert_eq!(q.to_bits(), wq.to_bits(), "kernel drifted at β={beta}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tiled_is_bit_identical_across_tile_sizes() {
-        for (source, distortion, beta) in tiled_cases() {
-            let want = blahut_arimoto(&source, &distortion, beta, 1e-13, 50_000).unwrap();
-            for tile in [1usize, 7, 64, 4096] {
-                let opts = BaTileOptions {
-                    row_tile: tile,
-                    col_tile: tile,
-                    ..BaTileOptions::default()
-                };
-                let got =
-                    blahut_arimoto_tiled(&source, &distortion, beta, 1e-13, 50_000, &opts).unwrap();
-                assert_eq!(got.rate.to_bits(), want.rate.to_bits(), "tile={tile}");
-                for (row, want_row) in got.channel.kernel().iter().zip(want.channel.kernel()) {
-                    for (&q, &wq) in row.iter().zip(want_row) {
-                        assert_eq!(q.to_bits(), wq.to_bits(), "kernel drifted at tile={tile}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn frozen_early_exit_matches_naive_fixed_iteration_runs() {
-        // tol = 0 forces the fixed-iteration pattern the benches use:
-        // the naive loop recomputes the (bitwise stationary) fixed point
-        // every iteration, the tiled loop freezes — same kernel bits,
-        // same iteration count.
-        let source = vec![0.2, 0.8];
-        let distortion = hamming(2);
-        let beta = 5.0;
-        let max_iters = 2_000;
-        let (want_kernel, _, want_iters) =
-            naive_ba_reference(&source, &distortion, beta, 0.0, max_iters);
-        assert_eq!(want_iters, max_iters);
-        use dplearn_telemetry::MemoryRecorder;
-        let recorder = MemoryRecorder::new();
-        let got = blahut_arimoto_tiled_recorded(
-            &source,
-            &distortion,
-            beta,
-            0.0,
-            max_iters,
-            &BaTileOptions::default(),
-            &recorder,
-        );
-        // tol = 0 never satisfies `gap < tol`: both paths report
-        // non-convergence after exactly max_iters.
-        assert!(matches!(
-            got,
-            Err(InfoError::DidNotConverge {
-                iterations
-            }) if iterations == max_iters
-        ));
-        let snap = recorder.snapshot().unwrap();
-        let counter = |key: &str| {
-            snap.counters
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|&(_, v)| v)
-        };
-        // The iterate must actually have frozen (the fixed point is
-        // reached bitwise long before 2000 iterations)...
-        let skipped = counter("infotheory.ba.rows_converged").unwrap();
-        assert!(skipped > 0, "premise: the marginal must go stationary");
-        // ...and every frozen iteration skipped all rows.
-        assert_eq!(skipped % source.len() as u64, 0);
-        assert!(counter("infotheory.ba.tiles").unwrap() > 0);
-        // One gap observation per iteration, frozen or not.
-        let gap = snap
-            .histograms
-            .iter()
-            .find(|(k, _)| k == "infotheory.ba.gap")
-            .map(|(_, h)| h)
-            .unwrap();
-        assert_eq!(gap.total + gap.non_finite, max_iters as u64);
-        // A converged run at the same β pins the frozen kernel against
-        // the naive fixed-iteration kernel: rerun without the error.
-        let frozen_rd = blahut_arimoto_tiled(
-            &source,
-            &distortion,
-            beta,
-            1e-30,
-            max_iters,
-            &BaTileOptions::default(),
-        );
-        // 1e-30 > 0, so the first exactly-zero gap converges the run —
-        // while the naive reference at tol=0 runs all 2000 iterations to
-        // land on the same bits.
-        let frozen_rd = frozen_rd.expect("an exactly-stationary marginal satisfies any tol > 0");
-        for (row, want_row) in frozen_rd.channel.kernel().iter().zip(&want_kernel) {
-            for (&q, &wq) in row.iter().zip(want_row) {
-                assert_eq!(q.to_bits(), wq.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn tiled_telemetry_counts_tiles_and_is_thread_invariant() {
-        use dplearn_telemetry::MemoryRecorder;
-        let (source, distortion, beta) = (&tiled_cases()[1].0, hamming(4), 2.5);
-        let opts = BaTileOptions {
-            row_tile: 1,
-            col_tile: 1,
-            ..BaTileOptions::default()
-        };
-        let run = |threads| {
-            dplearn_parallel::set_thread_count(threads);
-            let recorder = MemoryRecorder::new();
-            let rd = blahut_arimoto_tiled_recorded(
-                source,
-                &distortion,
-                beta,
-                1e-13,
-                50_000,
-                &opts,
-                &recorder,
-            )
-            .unwrap();
-            dplearn_parallel::set_thread_count(0);
-            let snap = recorder.snapshot().unwrap();
-            let tiles = snap
-                .counters
-                .iter()
-                .find(|(k, _)| k == "infotheory.ba.tiles")
-                .map(|&(_, v)| v)
-                .unwrap();
-            (rd.rate.to_bits(), rd.iterations, tiles)
-        };
-        let one = run(1);
-        let four = run(4);
-        assert_eq!(one, four);
-        // 1-row and 1-column tiles: (nx + ny) tiles per iteration.
-        assert_eq!(one.2, (4 + 4) * one.1 as u64);
-    }
-
     #[test]
     fn validates_inputs() {
-        assert!(blahut_arimoto(&[0.5, 0.6], &hamming(2), 1.0, 1e-9, 100).is_err());
-        assert!(blahut_arimoto(&[0.5, 0.5], &hamming(3), 1.0, 1e-9, 100).is_err());
-        assert!(blahut_arimoto(&[0.5, 0.5], &hamming(2), -1.0, 1e-9, 100).is_err());
-        assert!(blahut_arimoto(&[1.0], &[vec![]], 1.0, 1e-9, 100).is_err());
+        assert!(solve(&[0.5, 0.6], &hamming(2), 1.0, 1e-9, 100).is_err());
+        assert!(solve(&[0.5, 0.5], &hamming(3), 1.0, 1e-9, 100).is_err());
+        assert!(solve(&[0.5, 0.5], &hamming(2), -1.0, 1e-9, 100).is_err());
+        assert!(solve(&[1.0], &[vec![]], 1.0, 1e-9, 100).is_err());
+        // A NaN or negative tolerance can never be met: rejected up front
+        // instead of burning the whole budget.
+        for tol in [f64::NAN, -1e-9, f64::NEG_INFINITY] {
+            assert!(matches!(
+                solve(&[0.2, 0.8], &hamming(2), 5.0, tol, 100),
+                Err(InfoError::InvalidParameter { name: "tol", .. })
+            ));
+        }
+        // tol = 0 is legal: it runs exactly the budgeted iterations.
+        assert!(matches!(
+            solve(&[0.2, 0.8], &hamming(2), 5.0, 0.0, 7),
+            Err(InfoError::DidNotConverge { iterations: 7 })
+        ));
         // Non-convergence in 1 iteration (asymmetric source so the
         // uniform starting marginal is not already the fixed point).
         assert!(matches!(
-            blahut_arimoto(&[0.2, 0.8], &hamming(2), 5.0, 1e-15, 1),
+            solve(&[0.2, 0.8], &hamming(2), 5.0, 1e-15, 1),
             Err(InfoError::DidNotConverge { .. })
         ));
     }

@@ -14,7 +14,9 @@
 //!   samples with Miller–Madow bias correction,
 //! * [`blahut_arimoto`] — the rate–distortion fixed point, whose inner
 //!   update *is* the Gibbs kernel (an independent algorithmic witness of
-//!   the paper's Theorem 4.2),
+//!   the paper's Theorem 4.2); one solver, driven by a
+//!   [`RetryPolicy`](dplearn_robust::RetryPolicy) and a telemetry
+//!   [`Recorder`](dplearn_telemetry::Recorder),
 //! * [`leakage`] — min-entropy leakage (the Alvim et al. connection the
 //!   paper cites),
 //! * [`dp_bounds`] — information-theoretic consequences of ε-DP

@@ -6,6 +6,8 @@ use dplearn_infotheory::entropy::{cross_entropy, entropy};
 use dplearn_infotheory::fano::fano_error_lower_bound;
 use dplearn_infotheory::leakage::{min_entropy_leakage_bits, multiplicative_bayes_leakage};
 use dplearn_infotheory::mutual_information::mi_from_joint;
+use dplearn_robust::RetryPolicy;
+use dplearn_telemetry::NoopRecorder;
 use proptest::prelude::*;
 
 fn normalize(raw: &[f64]) -> Vec<f64> {
@@ -99,7 +101,8 @@ proptest! {
         // BA's marginal converges linearly but the rate can be close to 1
         // for near-redundant reproduction symbols; 1e-9 on the marginal is
         // comfortably tighter than the 1e-8 Lagrangian tolerance below.
-        let rd = blahut_arimoto(&src, &dist_raw, beta, 1e-9, 200_000).unwrap();
+        let policy = RetryPolicy::single_attempt(200_000);
+        let rd = blahut_arimoto(&src, &dist_raw, beta, 1e-9, &policy, &NoopRecorder).unwrap();
         let opt = rd.rate + beta * rd.distortion;
         for y in 0..3 {
             let kernel: Vec<Vec<f64>> = (0..3)

@@ -10,7 +10,7 @@
 
 use dplearn_robust::{FaultClass, FaultPlan};
 
-use dplearn_infotheory::blahut_arimoto::{blahut_arimoto, blahut_arimoto_with_retry};
+use dplearn_infotheory::blahut_arimoto::blahut_arimoto;
 use dplearn_learning::data::{Dataset, Example};
 use dplearn_learning::erm::erm_finite;
 use dplearn_learning::hypothesis::{FiniteClass, ThresholdClassifier};
@@ -34,6 +34,7 @@ use dplearn_pacbayes::bounds::{catoni_bound, maurer_bound, mcallester_bound};
 use dplearn_pacbayes::gibbs::{gibbs_finite, MetropolisGibbs, MhConfig, WatchdogConfig};
 use dplearn_pacbayes::posterior::{DiagGaussian, FinitePosterior};
 use dplearn_robust::RetryPolicy;
+use dplearn_telemetry::NoopRecorder;
 
 /// True for the fault classes whose injected values are non-finite — the
 /// ones a validating constructor is *required* to reject.
@@ -265,9 +266,9 @@ fn retry_restarts_do_not_leak_pool_state() {
     };
     let source = [0.2, 0.8];
     let distortion = vec![vec![0.0, 1.0], vec![1.0, 0.0]];
-    let (_, report) = blahut_arimoto_with_retry(&source, &distortion, 5.0, 1e-13, &policy)
+    let rd = blahut_arimoto(&source, &distortion, 5.0, 1e-13, &policy, &NoopRecorder)
         .expect("retry should converge");
-    assert!(report.attempts > 1, "premise: restarts must happen");
+    assert!(rd.attempts > 1, "premise: restarts must happen");
     assert!(
         !dplearn_parallel::in_pool_section(),
         "pool section flag leaked across retry restarts"
@@ -288,6 +289,7 @@ fn blahut_arimoto_under_all_fault_classes() {
         growth: 2.0,
         damping: 0.5,
     };
+    let single = RetryPolicy::single_attempt(500);
     for class in FaultClass::ALL {
         // Corrupt the source distribution: anything that is no longer a
         // distribution must be a typed rejection.
@@ -303,7 +305,7 @@ fn blahut_arimoto_under_all_fault_classes() {
             vec![2.0, 2.0, 2.0],
         ];
         assert!(
-            blahut_arimoto(&source, &distortion, 1.0, 1e-9, 500).is_err(),
+            blahut_arimoto(&source, &distortion, 1.0, 1e-9, &single, &NoopRecorder).is_err(),
             "{class}: corrupted source must be rejected"
         );
 
@@ -316,24 +318,32 @@ fn blahut_arimoto_under_all_fault_classes() {
             .with_seed(4)
             .random(2)
             .corrupt_matrix(&mut d);
-        let run = blahut_arimoto_with_retry(&clean_source, &d, 1.0, 1e-9, &policy);
+        let run = blahut_arimoto(&clean_source, &d, 1.0, 1e-9, &policy, &NoopRecorder);
         if nonfinite(class) {
             assert!(
                 run.is_err(),
                 "{class}: non-finite distortion must be rejected"
             );
-        } else if let Ok((rd, report)) = run {
+        } else if let Ok(rd) = run {
             assert!(
                 rd.rate.is_finite() && rd.distortion.is_finite(),
                 "{class}: solver must not leak non-finite rate/distortion"
             );
-            assert!(report.attempts >= 1);
+            assert!(rd.attempts >= 1);
         }
 
         // Corrupted β.
         if nonfinite(class) {
             assert!(
-                blahut_arimoto(&clean_source, &distortion, class.value(0), 1e-9, 500).is_err(),
+                blahut_arimoto(
+                    &clean_source,
+                    &distortion,
+                    class.value(0),
+                    1e-9,
+                    &single,
+                    &NoopRecorder
+                )
+                .is_err(),
                 "{class}: non-finite beta must be rejected"
             );
         }

@@ -2,9 +2,11 @@
 //! README.md ("Measuring leakage at scale"). If this test breaks,
 //! update the README.
 
-use dplearn::infotheory::blahut_arimoto::{blahut_arimoto, blahut_arimoto_tiled, BaTileOptions};
+use dplearn::infotheory::blahut_arimoto::blahut_arimoto;
 use dplearn::infotheory::flat::FlatChannel;
 use dplearn::infotheory::mi_accounting::MiAccountant;
+use dplearn::robust::RetryPolicy;
+use dplearn::telemetry::NoopRecorder;
 use dplearn::DplearnError;
 
 #[test]
@@ -40,21 +42,16 @@ fn readme_leakage_example_runs_as_written() -> Result<(), DplearnError> {
     assert!(mi <= track.per_record_nats());
     assert!(track.per_record_nats() < eps);
 
-    // Tiled Blahut–Arimoto: same bits as the reference solver, with
-    // zero-mass pruning and exact frozen-row early exit on top.
+    // Blahut–Arimoto: one solver. A fixed budget is a single-attempt
+    // retry policy; pass a `MemoryRecorder` instead of the no-op one to
+    // trace the per-iteration gap.
     let source = vec![0.25; 4];
     let distortion: Vec<Vec<f64>> = (0..4)
         .map(|x| (0..4).map(|y| f64::from(u8::from(x != y))).collect())
         .collect();
-    let reference = blahut_arimoto(&source, &distortion, 2.0, 1e-10, 10_000)?;
-    let tiled = blahut_arimoto_tiled(
-        &source,
-        &distortion,
-        2.0,
-        1e-10,
-        10_000,
-        &BaTileOptions::default(),
-    )?;
-    assert_eq!(tiled.rate.to_bits(), reference.rate.to_bits());
+    let policy = RetryPolicy::single_attempt(10_000);
+    let rd = blahut_arimoto(&source, &distortion, 2.0, 1e-10, &policy, &NoopRecorder)?;
+    assert_eq!(rd.attempts, 1);
+    assert!(rd.final_gap < 1e-10);
     Ok(())
 }
